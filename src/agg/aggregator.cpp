@@ -1,9 +1,7 @@
 #include "agg/aggregator.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
-#include <utility>
 
 #include "common/env.hpp"
 
@@ -19,8 +17,6 @@ AggregatorOptions AggregatorOptions::from_env() {
       "DBSP_AGG_INTERVALS", static_cast<std::int64_t>(o.limits.max_intervals)));
   o.limits.max_values = static_cast<std::size_t>(
       env_int("DBSP_AGG_VALUES", static_cast<std::int64_t>(o.limits.max_values)));
-  o.rescore_threshold = static_cast<std::size_t>(
-      env_int("DBSP_AGG_RESCORE", static_cast<std::int64_t>(o.rescore_threshold)));
   return o;
 }
 
@@ -108,7 +104,6 @@ void SubscriptionAggregator::replace_all(const std::vector<Subscription*>& membe
     if (fits) break;
   }
   ++full_rebuilds_;
-  ++rebuild_generation_;
 }
 
 void SubscriptionAggregator::add(Subscription& sub) {
@@ -128,7 +123,6 @@ void SubscriptionAggregator::add(Subscription& sub) {
     ++shift_;
     replace_all(members_by_id(), std::max<std::size_t>(1, options_.max_subgroups / 2));
   }
-  ++mutations_;
   maybe_auto_rescore();
 }
 
@@ -143,28 +137,10 @@ void SubscriptionAggregator::remove(SubscriptionId id) {
                                    [id](const Subscription* s) { return s->id() == id; });
   group.members.erase(member);
   member_subgroup_.erase(it);
-  ++mutations_;
   ++group.removals;
   if (group.members.empty() || group.removals >= options_.subgroup_rebuild_removals) {
     rebuild_subgroup(g);
   }
-}
-
-void SubscriptionAggregator::refresh(Subscription& sub) {
-  const auto it = member_subgroup_.find(sub.id().value());
-  if (it == member_subgroup_.end()) {
-    throw std::out_of_range("aggregator: refresh of unknown subscription");
-  }
-  // Pruned trees only generalize, so joining the fresh summary keeps the
-  // subgroup sound without re-clustering (membership keys on the
-  // admission-time signature).
-  std::size_t widenings = 0;
-  (void)subgroups_[it->second].summary.join(summarize(sub), options_.limits, &widenings);
-  summary_widenings_ += widenings;
-}
-
-bool SubscriptionAggregator::contains(SubscriptionId id) const {
-  return member_subgroup_.find(id.value()) != member_subgroup_.end();
 }
 
 void SubscriptionAggregator::rebuild_subgroup(std::size_t g) {
@@ -230,7 +206,6 @@ std::vector<AttributeId> SubscriptionAggregator::choose_dimensions(
 void SubscriptionAggregator::rescore() {
   std::vector<Subscription*> members = members_by_id();
   std::vector<AttributeId> ranked = choose_dimensions(members);
-  mutations_ = 0;
   std::vector<AttributeId> current;
   current.reserve(key_order_.size());
   for (const std::size_t idx : key_order_) current.push_back(dims_[idx]);
@@ -253,77 +228,6 @@ void SubscriptionAggregator::train(const EventStats& stats) {
   rescore();
 }
 
-void SubscriptionAggregator::rebuild() {
-  std::vector<Subscription*> members = members_by_id();
-  // Clean slate: re-derive the smallest coarsening shift the live
-  // population needs, so the result is independent of the churn history.
-  shift_ = 0;
-  replace_all(members, options_.max_subgroups);
-}
-
-void SubscriptionAggregator::match(const Event& event,
-                                   std::vector<SubscriptionId>& out) const {
-  (void)match_within(event, out, std::numeric_limits<std::size_t>::max());
-}
-
-bool SubscriptionAggregator::match_within(const Event& event,
-                                          std::vector<SubscriptionId>& out,
-                                          std::size_t max_candidates) const {
-  // Pass 1 — probe. All subgroups share one dimension choice, so the
-  // event's dimension values are resolved once instead of once per
-  // subgroup summary.
-  std::vector<const Value*> resolved(dims_.size());
-  for (std::size_t i = 0; i < dims_.size(); ++i) resolved[i] = event.find(dims_[i]);
-  std::vector<std::size_t> admitted;
-  std::uint64_t skipped = 0;
-  std::size_t candidates = 0;
-  for (std::size_t g = 0; g < subgroups_.size(); ++g) {
-    const Subgroup& group = subgroups_[g];
-    if (group.members.empty()) continue;
-    if (!group.summary.admits_resolved(resolved.data())) {
-      ++skipped;
-      continue;
-    }
-    admitted.push_back(g);
-    candidates += group.members.size();
-  }
-  events_probed_.fetch_add(1, std::memory_order_relaxed);
-  subgroups_admitted_.fetch_add(admitted.size(), std::memory_order_relaxed);
-  subgroups_skipped_.fetch_add(skipped, std::memory_order_relaxed);
-  if (candidates > max_candidates) {
-    // The probe could not prune enough for the candidate path to pay off;
-    // the caller routes the event through its exact index instead.
-    probe_declines_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  // Pass 2 — exact evaluation of the admitted members only.
-  std::uint64_t matched = 0;
-  for (const std::size_t g : admitted) {
-    for (const Subscription* sub : subgroups_[g].members) {
-      if (sub->matches(event)) {
-        out.push_back(sub->id());
-        ++matched;
-      }
-    }
-  }
-  candidates_evaluated_.fetch_add(candidates, std::memory_order_relaxed);
-  matches_.fetch_add(matched, std::memory_order_relaxed);
-  return true;
-}
-
-SubscriptionAggregator::Probe SubscriptionAggregator::probe(const Event& event) const {
-  std::vector<const Value*> resolved(dims_.size());
-  for (std::size_t i = 0; i < dims_.size(); ++i) resolved[i] = event.find(dims_[i]);
-  Probe p;
-  for (const Subgroup& group : subgroups_) {
-    if (group.members.empty()) continue;
-    if (!group.summary.admits_resolved(resolved.data())) continue;
-    ++p.admitted;
-    p.candidates += group.members.size();
-  }
-  return p;
-}
-
 std::size_t SubscriptionAggregator::subgroup_count() const {
   std::size_t n = 0;
   for (const Subgroup& group : subgroups_) {
@@ -335,10 +239,6 @@ std::size_t SubscriptionAggregator::subgroup_count() const {
 const SummarySet* SubscriptionAggregator::subgroup_summary(std::size_t g) const {
   if (g >= subgroups_.size() || subgroups_[g].members.empty()) return nullptr;
   return &subgroups_[g].summary;
-}
-
-std::size_t SubscriptionAggregator::subgroup_members(std::size_t g) const {
-  return g < subgroups_.size() ? subgroups_[g].members.size() : 0;
 }
 
 std::size_t SubscriptionAggregator::subgroup_of(SubscriptionId id) const {
@@ -359,12 +259,6 @@ std::size_t SubscriptionAggregator::advertised_bytes() const {
 
 AggregationCounters SubscriptionAggregator::counters() const {
   AggregationCounters c;
-  c.events_probed = events_probed_.load(std::memory_order_relaxed);
-  c.subgroups_admitted = subgroups_admitted_.load(std::memory_order_relaxed);
-  c.subgroups_skipped = subgroups_skipped_.load(std::memory_order_relaxed);
-  c.candidates_evaluated = candidates_evaluated_.load(std::memory_order_relaxed);
-  c.matches = matches_.load(std::memory_order_relaxed);
-  c.probe_declines = probe_declines_.load(std::memory_order_relaxed);
   c.summary_widenings = summary_widenings_;
   c.subgroup_rebuilds = subgroup_rebuilds_;
   c.full_rebuilds = full_rebuilds_;
@@ -372,12 +266,6 @@ AggregationCounters SubscriptionAggregator::counters() const {
 }
 
 void SubscriptionAggregator::reset_counters() {
-  events_probed_.store(0, std::memory_order_relaxed);
-  subgroups_admitted_.store(0, std::memory_order_relaxed);
-  subgroups_skipped_.store(0, std::memory_order_relaxed);
-  candidates_evaluated_.store(0, std::memory_order_relaxed);
-  matches_.store(0, std::memory_order_relaxed);
-  probe_declines_.store(0, std::memory_order_relaxed);
   summary_widenings_ = 0;
   subgroup_rebuilds_ = 0;
   full_rebuilds_ = 0;

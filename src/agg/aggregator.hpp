@@ -1,18 +1,16 @@
 #pragma once
 
 /// \file
-/// Hierarchical subscription aggregation (ROADMAP item 3): clusters
-/// similar subscriptions into subgroups keyed by their top-scored pruning
+/// Hierarchical subscription aggregation for routing: clusters similar
+/// subscriptions into subgroups keyed by their top-scored pruning
 /// dimensions and maintains one bounded SummarySet per subgroup under
-/// churn. An event first probes the subgroup summaries and only evaluates
-/// the member trees of admitted subgroups — rejects are sound (no false
-/// negatives), so delivery stays oracle-exact while match cost and
-/// advertisement bytes scale with the number of subgroups, not
-/// subscriptions. Dimension choice reuses the paper's selectivity scores
-/// (EventStats) with a drift-style rescore trigger mirroring the pruning
-/// maintenance machinery.
+/// churn. A broker advertises these subgroup summaries instead of the
+/// per-subscription trees; summary rejects are sound (no false negatives),
+/// so forwarding on them keeps delivery oracle-exact while advertisement
+/// bytes scale with the number of subgroups, not subscriptions. Dimension
+/// choice reuses the paper's selectivity scores (EventStats). Matching
+/// itself stays with the counting matcher.
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <unordered_map>
@@ -37,9 +35,6 @@ struct AggregatorOptions {
   std::size_t max_subgroups = 512;
   /// Widening caps of every summary (DBSP_AGG_INTERVALS / DBSP_AGG_VALUES).
   SummaryLimits limits;
-  /// Mutations (adds + removes) after which rescore_pending() trips; 0
-  /// disables the trigger (DBSP_AGG_RESCORE).
-  std::size_t rescore_threshold = 0;
   /// Removals inside one subgroup after which its summary is re-tightened
   /// from the surviving members.
   std::size_t subgroup_rebuild_removals = 8;
@@ -48,33 +43,31 @@ struct AggregatorOptions {
   [[nodiscard]] static AggregatorOptions from_env();
 };
 
-/// Introspection counters. The probe-side fields advance on match();
-/// maintenance fields advance under the owner's churn serialization.
+/// Maintenance counters; they advance under the owner's churn
+/// serialization.
 struct AggregationCounters {
-  std::uint64_t events_probed = 0;
-  std::uint64_t subgroups_admitted = 0;
-  std::uint64_t subgroups_skipped = 0;
-  std::uint64_t candidates_evaluated = 0;
-  std::uint64_t matches = 0;
-  /// match_within() probes that exceeded their candidate budget (the
-  /// caller fell back to its exact index instead).
-  std::uint64_t probe_declines = 0;
   std::uint64_t summary_widenings = 0;
   std::uint64_t subgroup_rebuilds = 0;
   std::uint64_t full_rebuilds = 0;
 };
 
-/// The aggregation front stage. Subscriptions are clustered by the coarse
-/// signature of their per-dimension summaries; each subgroup carries the
-/// join of its members' summaries, widened incrementally on add and
-/// re-tightened on removal bursts and rebuilds.
+/// The subgroup index behind aggregated routing. Subscriptions are
+/// clustered by the coarse signature of their per-dimension summaries;
+/// each subgroup carries the join of its members' summaries, widened
+/// incrementally on add and re-tightened on removal bursts and full
+/// rebuilds.
 ///
-/// Thread safety: mirrors ShardedEngine — add/remove/refresh/train/rebuild
-/// mutate aggregator state and must be externally serialized with each
-/// other and with match(); match() itself is const over the subgroup
-/// state and may run concurrently with other match() calls (its counters
-/// are relaxed atomics). Registered subscriptions must outlive the
-/// aggregator (it stores raw pointers, like the matcher layer).
+/// Soundness: for every event, every registered subscription whose tree
+/// matches it sits in a subgroup whose summary admits it
+/// (subgroup_summary(subgroup_of(id))->admits(event)), under any churn
+/// history and across train() rebuilds. Summaries are taken at add time,
+/// so a registered tree must not change in place (pruning one means
+/// remove + add).
+///
+/// Thread safety: add/remove/train mutate aggregator state and must be
+/// externally serialized with each other and with the const observers.
+/// Registered subscriptions must outlive the aggregator (it stores raw
+/// pointers, like the matcher layer).
 class SubscriptionAggregator {
  public:
   explicit SubscriptionAggregator(const Schema& schema, AggregatorOptions options = {});
@@ -94,71 +87,20 @@ class SubscriptionAggregator {
   /// subgroup re-tighten.
   void remove(SubscriptionId id);
 
-  /// Re-joins a subscription whose tree changed in place (pruning made it
-  /// more general); the subgroup summary widens accordingly.
-  void refresh(Subscription& sub);
-
-  [[nodiscard]] bool contains(SubscriptionId id) const;
-  [[nodiscard]] std::size_t subscription_count() const { return member_subgroup_.size(); }
-
   // --- Dimension maintenance ----------------------------------------------
 
   /// Re-scores aggregation dimensions against trained event statistics
   /// (leaf weight 1 - selectivity; untrained fallback: constraint
   /// frequency) and fully rebuilds the subgroups when the choice changed.
-  /// Clears the rescore trigger. `stats` must outlive the aggregator.
+  /// `stats` must outlive the aggregator.
   void train(const EventStats& stats);
-
-  /// Mutations since the last rescore crossed the configured threshold —
-  /// the aggregation analogue of the pruning drift trigger.
-  [[nodiscard]] bool rescore_pending() const {
-    return options_.rescore_threshold > 0 && mutations_ >= options_.rescore_threshold;
-  }
-  void set_rescore_threshold(std::size_t mutations) {
-    options_.rescore_threshold = mutations;
-  }
-
-  /// Fully re-clusters and re-tightens every subgroup from the live
-  /// members (ascending-id order, so the result is independent of the
-  /// churn history that led here).
-  void rebuild();
 
   [[nodiscard]] const std::vector<AttributeId>& dimensions() const { return dims_; }
 
   /// Current signature-coarsening shift (0 = finest). Grows when the
-  /// subgroup cap overflows; rebuild()/train() re-derive the smallest
-  /// shift that fits the live population.
+  /// subgroup cap overflows; a train() that changes the dimensions
+  /// re-derives the smallest shift that fits the live population.
   [[nodiscard]] unsigned signature_shift() const { return shift_; }
-
-  /// Bumped by every full rebuild (train/rebuild/auto-rescore); overlay
-  /// advertisement uses it to detect wholesale subgroup changes.
-  [[nodiscard]] std::uint64_t rebuild_generation() const { return rebuild_generation_; }
-
-  // --- Matching (const; concurrent with other const calls) ----------------
-
-  /// Appends the ids of all matching subscriptions to `out` (unsorted —
-  /// callers sort, mirroring the shard merge). Exact over the members'
-  /// current trees: the summary probe only skips subgroups that provably
-  /// cannot match.
-  void match(const Event& event, std::vector<SubscriptionId>& out) const;
-
-  /// Budgeted match: probes every subgroup first (dimension values are
-  /// resolved once per event) and evaluates the admitted members only when
-  /// their total count is at most `max_candidates`. Returns false — with
-  /// `out` untouched — when the budget is exceeded, so a cost-based caller
-  /// can route the event through its exact index instead of paying a
-  /// near-full naive scan. Probe counters always advance; candidate and
-  /// match counters only on an accepted probe.
-  [[nodiscard]] bool match_within(const Event& event, std::vector<SubscriptionId>& out,
-                                  std::size_t max_candidates) const;
-
-  /// Pure probe (no counters): how many subgroups admit the event and how
-  /// many member candidates they carry.
-  struct Probe {
-    std::size_t admitted = 0;
-    std::size_t candidates = 0;
-  };
-  [[nodiscard]] Probe probe(const Event& event) const;
 
   // --- Introspection -------------------------------------------------------
 
@@ -168,7 +110,6 @@ class SubscriptionAggregator {
   [[nodiscard]] std::size_t subgroup_slots() const { return subgroups_.size(); }
   /// Summary of subgroup `g`, or nullptr when empty/out of range.
   [[nodiscard]] const SummarySet* subgroup_summary(std::size_t g) const;
-  [[nodiscard]] std::size_t subgroup_members(std::size_t g) const;
   /// Subgroup index of a registered subscription; throws std::out_of_range.
   [[nodiscard]] std::size_t subgroup_of(SubscriptionId id) const;
 
@@ -237,21 +178,11 @@ class SubscriptionAggregator {
   /// First-seen signature (at shift_) -> subgroup slot.
   std::unordered_map<std::uint64_t, std::size_t> by_signature_;
   std::unordered_map<SubscriptionId::value_type, std::size_t> member_subgroup_;
-  std::size_t mutations_ = 0;
-  std::uint64_t rebuild_generation_ = 0;
   std::size_t next_auto_rescore_ = 64;
 
-  // Maintenance-side counters (externally serialized with churn).
   std::uint64_t summary_widenings_ = 0;
   std::uint64_t subgroup_rebuilds_ = 0;
   std::uint64_t full_rebuilds_ = 0;
-  // Probe-side counters (relaxed atomics; match() is const).
-  mutable std::atomic<std::uint64_t> events_probed_{0};
-  mutable std::atomic<std::uint64_t> subgroups_admitted_{0};
-  mutable std::atomic<std::uint64_t> subgroups_skipped_{0};
-  mutable std::atomic<std::uint64_t> candidates_evaluated_{0};
-  mutable std::atomic<std::uint64_t> matches_{0};
-  mutable std::atomic<std::uint64_t> probe_declines_{0};
 };
 
 }  // namespace dbsp::agg

@@ -452,18 +452,6 @@ bool SummarySet::admits(const Event& event) const {
   return true;
 }
 
-bool SummarySet::admits_resolved(const Value* const* values) const {
-  for (std::size_t i = 0; i < dims_.size(); ++i) {
-    const Value* value = values[i];
-    if (value == nullptr) {
-      if (!summaries_[i].may_match_without()) return false;
-    } else if (!summaries_[i].admits_value(*value)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 bool SummarySet::equals(const SummarySet& other) const {
   if (dims_ != other.dims_) return false;
   for (std::size_t i = 0; i < summaries_.size(); ++i) {

@@ -151,11 +151,6 @@ class SummarySet {
   /// subscription matches it.
   [[nodiscard]] bool admits(const Event& event) const;
 
-  /// admits() over pre-resolved dimension values: `values[i]` is the
-  /// event's value on dimension i, nullptr when absent. Lets a probe over
-  /// many sets sharing one dimension choice pay the event lookups once.
-  [[nodiscard]] bool admits_resolved(const Value* const* values) const;
-
   [[nodiscard]] const std::vector<AttributeId>& dimensions() const { return dims_; }
   [[nodiscard]] const std::vector<DimensionSummary>& summaries() const {
     return summaries_;

@@ -55,21 +55,11 @@ struct PubSubCore {
         engine(schema, options.engine),
         sampler(resolve_sample(options_in)) {
     if (options.pruning) {
-      if (options.engine.backend != MatcherBackend::Counting) {
-        throw std::logic_error("PubSub: pruning requires the Counting backend");
-      }
       // Untrained statistics estimate every predicate at 0 presence; the
       // queues still work, train() upgrades the scores in place.
       stats.finalize();
       estimator.emplace(stats);
       pruning.emplace(engine, *estimator, options.prune);
-    }
-    if (options.aggregation) {
-      aggregator.emplace(schema, options.agg);
-      // The engine forwards all add/remove/reindex churn and routes
-      // matching through the aggregator from here on; the facade only
-      // drives training, thresholds and introspection.
-      engine.attach_aggregation(&*aggregator);
     }
     if (options.metrics) {
       registry = std::make_shared<obs::MetricsRegistry>();
@@ -109,10 +99,6 @@ struct PubSubCore {
   // fans out internally; its workers touch disjoint per-shard state).
   ShardedEngine engine DBSP_GUARDED_BY(mutex);
   std::optional<ShardedPruningSet> pruning DBSP_GUARDED_BY(mutex);
-  /// The aggregation front stage (options.aggregation). The engine holds a
-  /// raw pointer to it and is the only churn path; matching under `mutex`
-  /// satisfies the aggregator's probe-vs-churn exclusion contract.
-  std::optional<agg::SubscriptionAggregator> aggregator DBSP_GUARDED_BY(mutex);
 
   /// Durable mode (PubSub::open). Fail-stop: the first append/checkpoint
   /// failure moves its Status into store_failure and drops the store, so
@@ -301,17 +287,6 @@ void register_metrics_hook(const std::shared_ptr<PubSubCore>& core) {
   auto* releases = &r.counter("dbsp_pruning_releases_total");
   auto* compactions = &r.counter("dbsp_pruning_queue_compactions_total");
   auto* rescores = &r.counter("dbsp_pruning_full_rescores_total");
-  auto* agg_subgroups = &r.gauge("dbsp_agg_subgroups");
-  auto* agg_dimensions = &r.gauge("dbsp_agg_dimensions");
-  auto* agg_advertised = &r.gauge("dbsp_agg_advertised_bytes");
-  auto* agg_probes = &r.counter("dbsp_agg_events_probed_total");
-  auto* agg_admitted = &r.counter("dbsp_agg_subgroups_admitted_total");
-  auto* agg_skipped = &r.counter("dbsp_agg_subgroups_skipped_total");
-  auto* agg_candidates = &r.counter("dbsp_agg_candidates_total");
-  auto* agg_matches = &r.counter("dbsp_agg_matches_total");
-  auto* agg_widenings = &r.counter("dbsp_agg_summary_widenings_total");
-  auto* agg_subgroup_rebuilds = &r.counter("dbsp_agg_subgroup_rebuilds_total");
-  auto* agg_full_rebuilds = &r.counter("dbsp_agg_full_rebuilds_total");
   std::weak_ptr<PubSubCore> weak = core;
   r.add_hook([=]() {
     const auto c = weak.lock();
@@ -343,20 +318,6 @@ void register_metrics_hook(const std::shared_ptr<PubSubCore>& core) {
       releases->sync_to(m.releases);
       compactions->sync_to(m.queue_compactions);
       rescores->sync_to(m.full_rescores);
-    }
-    if (c->aggregator) {
-      agg_subgroups->set(static_cast<double>(c->aggregator->subgroup_count()));
-      agg_dimensions->set(static_cast<double>(c->aggregator->dimensions().size()));
-      agg_advertised->set(static_cast<double>(c->aggregator->advertised_bytes()));
-      const agg::AggregationCounters ac = c->aggregator->counters();
-      agg_probes->sync_to(ac.events_probed);
-      agg_admitted->sync_to(ac.subgroups_admitted);
-      agg_skipped->sync_to(ac.subgroups_skipped);
-      agg_candidates->sync_to(ac.candidates_evaluated);
-      agg_matches->sync_to(ac.matches);
-      agg_widenings->sync_to(ac.summary_widenings);
-      agg_subgroup_rebuilds->sync_to(ac.subgroup_rebuilds);
-      agg_full_rebuilds->sync_to(ac.full_rebuilds);
     }
   });
 }
@@ -440,12 +401,7 @@ Result<PubSub> PubSub::open(StoreOptions store_options, PubSubOptions options) {
                          "the store's schema does not match the provided one");
   }
 
-  std::shared_ptr<PubSubCore> core;
-  try {
-    core = std::make_shared<PubSubCore>(std::move(rec.schema), options);
-  } catch (const std::logic_error& e) {
-    return Status::error(ErrorCode::kInvalidArgument, e.what());
-  }
+  const auto core = std::make_shared<PubSubCore>(std::move(rec.schema), options);
   // The core is not shared with anyone yet, but the recovery population
   // below touches guarded state, so take the lock (uncontended) to keep
   // the analysis airtight.
@@ -463,12 +419,7 @@ Result<PubSub> PubSub::open(StoreOptions store_options, PubSubOptions options) {
   }
   for (auto& rsub : rec.subs) {
     auto sub = std::make_unique<Subscription>(rsub.id, std::move(rsub.tree));
-    if (!core->engine.add(*sub)) {
-      return Status::error(ErrorCode::kFailedPrecondition,
-                           "recovered subscription #" +
-                               std::to_string(rsub.id.value()) +
-                               " is not convertible by the configured backend");
-    }
+    core->engine.add(*sub);
     if (core->pruning) {
       core->pruning->add(*sub);
       // Zero/zero means "no accounting was captured" (leaf-only tree, or a
@@ -562,10 +513,7 @@ Result<SubscriptionHandle> PubSub::subscribe(std::unique_ptr<Node> tree,
   MutexLock lock(c.mutex);
   const SubscriptionId id(c.next_id);
   auto sub = std::make_unique<Subscription>(id, std::move(tree));
-  if (!c.engine.add(*sub)) {
-    return Status::error(ErrorCode::kInvalidArgument,
-                         "filter is not convertible by the configured backend");
-  }
+  c.engine.add(*sub);
   // Durable mode: the registration is rolled back when its record cannot
   // be appended, so the WAL never misses a subscribe that later records
   // (prune/unsubscribe of this id) would depend on at replay. A due
@@ -753,14 +701,11 @@ Status pruning_disabled() {
 Status PubSub::train(std::span<const Event> sample) {
   auto& c = *core_;
   MutexLock lock(c.mutex);
-  if (!c.options.pruning && !c.aggregator) return pruning_disabled();
+  if (!c.options.pruning) return pruning_disabled();
   c.stats.reset();
   for (const Event& e : sample) c.stats.observe(e);
   c.stats.finalize();
   c.stats_trained = true;
-  // Aggregation dimensions rescore against the fresh statistics (full
-  // subgroup rebuild when the top-scored dimensions changed).
-  if (c.aggregator) c.aggregator->train(c.stats);
   // The estimator holds the stats by reference; queued candidate scores go
   // stale until the caller's next rescore_all().
   const Status logged = c.log_to_store([&](store::StateStore& s) {
@@ -780,38 +725,27 @@ namespace {
 /// simply one generation behind — and the error is reported.
 template <class Fn>
 Result<std::size_t> logged_prune(PubSubCore& c, Fn&& fn) DBSP_REQUIRES(c.mutex) {
-  // The aggregator also walks the history deltas: the per-shard pruning
-  // engines reindex their counting matchers directly (bypassing the
-  // ShardedEngine forwarding), so pruned trees must be re-joined into
-  // their subgroup summaries here to keep the probe stage sound.
-  const bool track = c.store != nullptr || c.aggregator.has_value();
-  std::vector<std::size_t> history_before;
-  if (track) {
-    history_before.resize(c.pruning->shard_count());
-    for (std::size_t i = 0; i < c.pruning->shard_count(); ++i) {
-      history_before[i] = c.pruning->shard(i).history().size();
-    }
+  if (c.store == nullptr) return std::forward<Fn>(fn)();
+  std::vector<std::size_t> history_before(c.pruning->shard_count());
+  for (std::size_t i = 0; i < history_before.size(); ++i) {
+    history_before[i] = c.pruning->shard(i).history().size();
   }
   const std::size_t done = std::forward<Fn>(fn)();
-  if (track && done > 0) {
-    for (std::size_t i = 0; i < c.pruning->shard_count(); ++i) {
-      const auto& history = c.pruning->shard(i).history();
-      for (std::size_t j = history_before[i]; j < history.size(); ++j) {
-        const SubscriptionId id = history[j].sub;
-        const auto it = c.subs.find(id.value());
-        if (it == c.subs.end()) continue;  // released since; nothing to log
-        if (c.aggregator) c.aggregator->refresh(*it->second.sub);
-        if (c.store) {
-          const Status logged = c.log_to_store([&](store::StateStore& s) {
-            s.append_prune(id, it->second.sub->root());
-          });
-          if (!logged.ok()) return logged;
-        }
-      }
+  if (done == 0) return done;
+  for (std::size_t i = 0; i < c.pruning->shard_count(); ++i) {
+    const auto& history = c.pruning->shard(i).history();
+    for (std::size_t j = history_before[i]; j < history.size(); ++j) {
+      const SubscriptionId id = history[j].sub;
+      const auto it = c.subs.find(id.value());
+      if (it == c.subs.end()) continue;  // released since; nothing to log
+      const Status logged = c.log_to_store([&](store::StateStore& s) {
+        s.append_prune(id, it->second.sub->root());
+      });
+      if (!logged.ok()) return logged;
     }
-    const Status snapped = c.maybe_checkpoint();
-    if (!snapped.ok()) return snapped;
   }
+  const Status snapped = c.maybe_checkpoint();
+  if (!snapped.ok()) return snapped;
   return done;
 }
 
@@ -877,27 +811,21 @@ Status PubSub::set_prune_dimension(PruneDimension dimension) {
 Status PubSub::set_drift_threshold(std::size_t mutations) {
   auto& c = *core_;
   MutexLock lock(c.mutex);
-  if (!c.pruning && !c.aggregator) return pruning_disabled();
-  if (c.pruning) c.pruning->set_drift_threshold(mutations);
-  if (c.aggregator) c.aggregator->set_rescore_threshold(mutations);
+  if (!c.pruning) return pruning_disabled();
+  c.pruning->set_drift_threshold(mutations);
   return Status();
 }
 
 bool PubSub::drift_pending() const {
   MutexLock lock(core_->mutex);
-  return (core_->pruning && core_->pruning->drift_pending()) ||
-         (core_->aggregator && core_->aggregator->rescore_pending());
+  return core_->pruning && core_->pruning->drift_pending();
 }
 
 Status PubSub::rescore_all() {
   auto& c = *core_;
   MutexLock lock(c.mutex);
-  if (!c.pruning && !c.aggregator) return pruning_disabled();
-  if (c.pruning) c.pruning->rescore_all();
-  // train() is the aggregation rescore: it re-ranks dimensions over the
-  // current statistics and clears the rescore trigger. Safe untrained —
-  // the scorer falls back to constraint frequency.
-  if (c.aggregator) c.aggregator->train(c.stats);
+  if (!c.pruning) return pruning_disabled();
+  c.pruning->rescore_all();
   return Status();
 }
 
@@ -911,19 +839,6 @@ PubSub::PruningStats PubSub::pruning_stats() const {
   out.total_possible = c.pruning->total_possible();
   out.performed = c.pruning->performed();
   out.maintenance = c.pruning->maintenance();
-  return out;
-}
-
-PubSub::AggregationStats PubSub::aggregation_stats() const {
-  AggregationStats out;
-  const auto& c = *core_;
-  MutexLock lock(c.mutex);
-  if (!c.aggregator) return out;
-  out.enabled = true;
-  out.subgroups = c.aggregator->subgroup_count();
-  out.dimensions = c.aggregator->dimensions().size();
-  out.advertised_bytes = c.aggregator->advertised_bytes();
-  out.counters = c.aggregator->counters();
   return out;
 }
 
@@ -954,7 +869,6 @@ CountingMatcher::Counters PubSub::counters() const {
 void PubSub::reset_counters() {
   MutexLock lock(core_->mutex);
   core_->engine.reset_counters();
-  if (core_->aggregator) core_->aggregator->reset_counters();
   core_->notifications = 0;
 }
 

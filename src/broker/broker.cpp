@@ -17,11 +17,11 @@ Broker::~Broker() = default;
 void Broker::subscribe_local(SubscriptionId id, ClientId client,
                              std::unique_ptr<Node> tree) {
   if (aggregator_ != nullptr) {
-    // Aggregated routing: the tree stays local; the engine forwards it
-    // into the aggregator, and only the subgroup summaries it changed are
-    // advertised.
+    // Aggregated routing: the tree stays local and joins its subgroup;
+    // only the subgroup summaries it changed are advertised.
     Subscription& sub = table_.add_local(id, client, std::move(tree));
     engine_.add(sub);
+    aggregator_->add(sub);
     advertise_changes();
     return;
   }
@@ -50,9 +50,11 @@ void Broker::unsubscribe_local(SubscriptionId id) {
   }
   // Pruning set first (local entries are never tracked, so this is a
   // no-op here, but keeps the release-before-engine-removal invariant),
-  // then engine: its removal reads the Subscription the table entry owns.
+  // then engine and aggregator: their removals read the Subscription the
+  // table entry owns.
   if (pruning_ != nullptr) pruning_->remove(id);
   engine_.remove(id);
+  if (aggregator_ != nullptr) aggregator_->remove(id);
   table_.remove(id);
   if (aggregator_ != nullptr) {
     // No tree was ever flooded, so there is nothing to unsubscribe
@@ -132,7 +134,6 @@ agg::SubscriptionAggregator& Broker::enable_aggregation(agg::AggregatorOptions o
     throw std::logic_error("broker: enable_aggregation on a non-empty broker");
   }
   aggregator_ = std::make_unique<agg::SubscriptionAggregator>(*schema_, options);
-  engine_.attach_aggregation(aggregator_.get());
   return *aggregator_;
 }
 
@@ -257,27 +258,14 @@ std::vector<SubscriptionId> Broker::remote_subscription_ids() const {
   return out;
 }
 
-std::vector<Subscription*> Broker::remote_subscriptions() {
-  return collect_remote(table_);
-}
-
 ShardedPruningSet& Broker::enable_pruning(const SelectivityEstimator& estimator,
                                           const PruneEngineConfig& config) {
-  owned_pruning_ = std::make_unique<ShardedPruningSet>(engine_, estimator, config,
-                                                       collect_remote(table_));
-  pruning_ = owned_pruning_.get();
-  return *owned_pruning_;
+  pruning_ = std::make_unique<ShardedPruningSet>(engine_, estimator, config,
+                                                 collect_remote(table_));
+  return *pruning_;
 }
 
-void Broker::disable_pruning() {
-  pruning_ = nullptr;
-  owned_pruning_.reset();
-}
-
-void Broker::set_pruning(ShardedPruningSet* set) {
-  owned_pruning_.reset();
-  pruning_ = set;
-}
+void Broker::disable_pruning() { pruning_.reset(); }
 
 void Broker::save_table(WireWriter& out) const {
   encode_wire_header(out);
@@ -313,6 +301,7 @@ void Broker::restore_table(WireReader& in) {
         local != 0 ? table_.add_local(id, ClientId(origin), std::move(tree))
                    : table_.add_remote(id, BrokerId(origin), std::move(tree));
     engine_.add(sub);
+    if (aggregator_ != nullptr) aggregator_->add(sub);
   }
 }
 

@@ -83,10 +83,6 @@ const char* to_string(TraceStage stage) {
       return "client_request";
     case TraceStage::kServerDispatch:
       return "server_dispatch";
-    case TraceStage::kAggProbe:
-      return "agg_probe";
-    case TraceStage::kAggFallback:
-      return "agg_fallback";
     case TraceStage::kShardMatch:
       return "shard_match";
     case TraceStage::kMatch:

@@ -10,7 +10,7 @@
 ///
 /// Sampling is two-sided. Head sampling (1-in-N, reusing obs::Sampler)
 /// decides *before* the event runs whether fine-grained spans (per-shard
-/// match, aggregation probe) are collected; it is the `sampled` flag that
+/// match) are collected; it is the `sampled` flag that
 /// travels in the TraceContext so every hop of a head-sampled event traces
 /// in detail. Tail sampling catches what head sampling misses: every
 /// traced publish takes a handful of coarse timestamps, and a finished
@@ -67,8 +67,7 @@ struct TraceContext {
 enum class TraceStage : std::uint8_t {
   kClientRequest = 0,  ///< client: publish request sent -> reply received
   kServerDispatch = 1, ///< server io thread: frame decoded -> reply queued
-  kAggProbe = 2,       ///< aggregation summary probe (detail: candidates)
-  kAggFallback = 3,    ///< probe over budget -> exact shard index re-run
+  // 2 and 3 belonged to the retired aggregation probe stages: never reuse.
   kShardMatch = 4,     ///< one shard's match (detail: shard index)
   kMatch = 5,          ///< whole engine match phase
   kDispatch = 6,       ///< callback dispatch (detail: notifications)
@@ -120,7 +119,7 @@ class TraceBuilder {
   void begin(TraceContext context);
 
   [[nodiscard]] bool active() const { return context_.active(); }
-  /// Head-sampled: fine-grained spans (per-shard, agg probe) are worth
+  /// Head-sampled: fine-grained spans (per-shard match) are worth
   /// collecting. Coarse spans are collected for every active trace.
   [[nodiscard]] bool sampled() const { return context_.sampled; }
   [[nodiscard]] const TraceContext& context() const { return context_; }

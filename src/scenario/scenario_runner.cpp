@@ -186,6 +186,9 @@ ScenarioReport ScenarioRunner::run() {
   if (!config_.store_directory.empty() && config_.brokers > 0) {
     throw std::logic_error("scenario: store-backed runs are centralized only");
   }
+  if (config_.aggregation && config_.brokers == 0) {
+    throw std::logic_error("scenario: aggregation is an overlay routing mode");
+  }
   if (!config_.kill_recover_phases.empty() && config_.store_directory.empty()) {
     throw std::logic_error("scenario: kill_recover_phases requires store_directory");
   }
@@ -213,14 +216,6 @@ ScenarioReport ScenarioRunner::run_centralized() {
   options.engine.shards = config_.shards == 0 ? 1 : config_.shards;
   options.pruning = config_.pruning;
   options.prune.dimension = config_.dimension;
-  options.aggregation = config_.aggregation;
-  if (config_.aggregation) {
-    options.agg = agg::AggregatorOptions::from_env();
-    // Soak populations are small enough that the engine's cost-based
-    // fallback would route around the probe; disable it so the scenario
-    // actually stresses the aggregated path it is here to verify.
-    options.engine.agg_fallback_pct = 0;
-  }
   const bool durable = !config_.store_directory.empty();
   const auto make_pubsub = [&]() -> PubSub {
     if (!durable) return PubSub(domain_->schema(), options);
@@ -235,7 +230,7 @@ ScenarioReport ScenarioRunner::run_centralized() {
   std::optional<PubSub> pubsub(make_pubsub());
 
   RollingWindow window(config_.stats_window);
-  if (config_.pruning || config_.aggregation) {
+  if (config_.pruning) {
     auto training = domain_->events(3);
     std::vector<Event> sample;
     sample.reserve(config_.training_events);
@@ -276,7 +271,7 @@ ScenarioReport ScenarioRunner::run_centralized() {
   if (config_.pruning) {
     (void)pubsub->prune_to_fraction(config_.prune_fraction).value();
   }
-  if (config_.pruning || config_.aggregation) {
+  if (config_.pruning) {
     // Armed only now: the initial bulk load is not churn.
     pubsub->set_drift_threshold(config_.drift_threshold).expect_ok();
   }
@@ -326,7 +321,7 @@ ScenarioReport ScenarioRunner::run_centralized() {
           adopted.push_back(std::move(handle).value());
         }
         live = std::move(adopted);
-        if (config_.pruning || config_.aggregation) {
+        if (config_.pruning) {
           // Runtime-only knobs are re-armed, not recovered.
           pubsub->set_drift_threshold(config_.drift_threshold).expect_ok();
         }
@@ -340,7 +335,7 @@ ScenarioReport ScenarioRunner::run_centralized() {
       if (config_.pruning) {
         pr.prunings += pubsub->prune_to_fraction(config_.prune_fraction).value();
       }
-      if (config_.pruning || config_.aggregation) {
+      if (config_.pruning) {
         if (pubsub->drift_pending() && window.ready()) {
           pubsub->train(window.events()).expect_ok();
           pubsub->rescore_all().expect_ok();
@@ -606,6 +601,9 @@ ScenarioReport ScenarioRunner::run_overlay() {
   Overlay overlay(domain_->schema(), brokers, Overlay::line(brokers), {},
                   engine_options);
   overlay.set_record_notifications(true);
+  if (config_.aggregation) {
+    overlay.enable_aggregation(agg::AggregatorOptions::from_env());
+  }
 
   const auto broker_at = [&overlay](std::size_t b) -> Broker& {
     return overlay.broker(BrokerId(static_cast<BrokerId::value_type>(b)));

@@ -51,10 +51,10 @@ struct ScenarioConfig {
   std::vector<ScenarioPhase> phases;
 
   // --- Aggregation ---------------------------------------------------------
-  /// Centralized mode: run the aggregation front stage
-  /// (PubSubOptions::aggregation) with DBSP_AGG_* knobs from the
-  /// environment. Composes with pruning; drift retrains also rescore the
-  /// aggregation dimensions.
+  /// Overlay mode only: switch every broker to aggregated summary routing
+  /// (Overlay::enable_aggregation) with DBSP_AGG_* knobs from the
+  /// environment, so the notification-log oracle checks subgroup summary
+  /// advertisement, retraction and forwarding under churn.
   bool aggregation = false;
 
   // --- Pruning maintenance -------------------------------------------------

@@ -405,71 +405,6 @@ TEST(FacadeMetricsTest, RegistryAgreesWithLegacyCountersAfterSoak) {
             s.value("dbsp_match_events_total"));
 }
 
-TEST(FacadeMetricsTest, AggregationSeriesMatchStatsAndSurviveReset) {
-  PubSubOptions options;
-  options.aggregation = true;
-  // Disable the cost-based fallback: this tiny population would otherwise
-  // route around the probe, and the probe counters are what is under test.
-  options.engine.agg_fallback_pct = 0;
-  PubSub pubsub(market_schema(), options);
-
-  std::vector<SubscriptionHandle> live;
-  const auto sink = [](const Notification&) {};
-  for (int i = 0; i < 30; ++i) {
-    live.push_back(
-        pubsub.subscribe("price < " + std::to_string(10 * (i % 10) + 5), sink)
-            .value());
-  }
-  for (int i = 0; i < 100; ++i) {
-    (void)pubsub.publish(pubsub.event()
-                             .with("sym", i % 2 == 0 ? "A" : "B")
-                             .with("price", static_cast<double>(i % 97))
-                             .build());
-  }
-
-  const MetricsSnapshot s = pubsub.metrics();
-  const PubSub::AggregationStats stats = pubsub.aggregation_stats();
-  ASSERT_TRUE(stats.enabled);
-  EXPECT_DOUBLE_EQ(s.value("dbsp_agg_subgroups"),
-                   static_cast<double>(stats.subgroups));
-  EXPECT_DOUBLE_EQ(s.value("dbsp_agg_dimensions"),
-                   static_cast<double>(stats.dimensions));
-  EXPECT_DOUBLE_EQ(s.value("dbsp_agg_advertised_bytes"),
-                   static_cast<double>(stats.advertised_bytes));
-  EXPECT_DOUBLE_EQ(s.value("dbsp_agg_events_probed_total"),
-                   static_cast<double>(stats.counters.events_probed));
-  EXPECT_DOUBLE_EQ(s.value("dbsp_agg_subgroups_admitted_total"),
-                   static_cast<double>(stats.counters.subgroups_admitted));
-  EXPECT_DOUBLE_EQ(s.value("dbsp_agg_subgroups_skipped_total"),
-                   static_cast<double>(stats.counters.subgroups_skipped));
-  EXPECT_DOUBLE_EQ(s.value("dbsp_agg_candidates_total"),
-                   static_cast<double>(stats.counters.candidates_evaluated));
-  EXPECT_DOUBLE_EQ(s.value("dbsp_agg_matches_total"),
-                   static_cast<double>(stats.counters.matches));
-  EXPECT_GT(s.value("dbsp_agg_events_probed_total"), 0.0);
-  EXPECT_GT(s.value("dbsp_agg_subgroups"), 0.0);
-
-  // reset_counters() zeroes the legacy struct but the exported counter
-  // series must stay monotone (sync_to semantics), and keep advancing
-  // from the frozen base on new traffic.
-  pubsub.reset_counters();
-  EXPECT_EQ(pubsub.aggregation_stats().counters.events_probed, 0u);
-  const MetricsSnapshot after = pubsub.metrics();
-  EXPECT_GE(after.value("dbsp_agg_events_probed_total"),
-            s.value("dbsp_agg_events_probed_total"));
-  EXPECT_GE(after.value("dbsp_agg_candidates_total"),
-            s.value("dbsp_agg_candidates_total"));
-
-  // Once post-reset traffic overtakes the frozen base the exported series
-  // advances again (and never dipped in between).
-  for (int i = 0; i < 150; ++i) {
-    (void)pubsub.publish(
-        pubsub.event().with("sym", "A").with("price", 3.0).build());
-  }
-  EXPECT_GT(pubsub.metrics().value("dbsp_agg_events_probed_total"),
-            after.value("dbsp_agg_events_probed_total"));
-}
-
 TEST(FacadeMetricsTest, DurableStoreSeriesTrackStoreStats) {
   namespace fs = std::filesystem;
   const fs::path dir =

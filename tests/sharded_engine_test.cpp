@@ -3,7 +3,7 @@
 // subscriber ids), batched and single-event dispatch must agree, and the
 // engine must behave on the edge cases (empty engine, empty batch, every
 // subscription hashed into one shard). Also covers the ThreadPool itself
-// and the uniform remove(id) contract of the backends.
+// and the remove(id) contract.
 
 #include "core/sharded_engine.hpp"
 
@@ -193,36 +193,31 @@ TEST(ShardedEngineTest, RemoveAndContainsAcrossShards) {
   }
 }
 
-TEST(ShardedEngineTest, AllBackendsAgreeOnDnfConvertibleCorpus) {
+TEST(ShardedEngineTest, FourShardsAgreeWithDirectNaiveMatcher) {
   MiniDomain dom(5, 16);
   std::mt19937_64 rng(707);
   Corpus corpus = make_corpus(dom, rng, 80, /*not_prob=*/0.0);
   const auto events = dom.random_events(rng, 120);
 
-  ShardedEngineOptions counting = counting_options(4);
-  ShardedEngineOptions dnf = counting;
-  dnf.backend = MatcherBackend::Dnf;
-  ShardedEngineOptions naive = counting;
-  naive.backend = MatcherBackend::Naive;
-
-  ShardedEngine ec(dom.schema(), counting);
-  ShardedEngine ed(dom.schema(), dnf);
-  ShardedEngine en(dom.schema(), naive);
+  // The oracle evaluates the very same trees directly, unsharded.
+  NaiveMatcher naive;
+  ShardedEngine engine(dom.schema(), counting_options(4));
   for (auto& s : corpus.subs) {
-    ASSERT_TRUE(ec.add(*s));
-    ASSERT_TRUE(ed.add(*s));
-    ASSERT_TRUE(en.add(*s));
+    engine.add(*s);
+    naive.add(*s);
   }
 
-  const auto bc = ec.match_batch(events);
-  const auto bd = ed.match_batch(events);
-  const auto bn = en.match_batch(events);
-  EXPECT_EQ(bc, bd);
-  EXPECT_EQ(bc, bn);
+  const auto batched = engine.match_batch(events);
+  ASSERT_EQ(batched.size(), events.size());
+  std::vector<SubscriptionId> expected;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    expected.clear();
+    naive.match(events[i], expected);
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(batched[i], expected) << "event " << i;
+  }
 
-  EXPECT_THROW(static_cast<void>(ed.counting_shard(0)), std::logic_error);
-  EXPECT_THROW(static_cast<void>(en.associations_of(corpus.subs[0]->id())),
-               std::logic_error);
+  EXPECT_THROW(static_cast<void>(engine.counting_shard(4)), std::out_of_range);
 }
 
 TEST(ShardedEngineTest, PerShardPruningKeepsMatchesASuperset) {

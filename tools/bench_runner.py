@@ -5,8 +5,8 @@ machine-readable BENCH_micro.json, run the durable-store benchmarks
 BENCH_store.json, run the network-edge benchmarks (ping RTT, publish and
 publish_batch throughput through an in-process NetServer over loopback
 TCP) into BENCH_net.json, run the aggregated-routing scale sweep
-(micro_routing's subscription-population sweep with sub-linearity and
-latency gates, plus the micro_covering pairwise baseline) into
+(micro_routing's subscription-population sweep with soundness and
+sub-linearity gates, plus the micro_covering pairwise baseline) into
 BENCH_routing.json, then run the scenario soak (all three workload
 domains through churn + flash crowd + pruning maintenance +
 kill-and-recover) and emit BENCH_scenario.json.
@@ -465,14 +465,14 @@ def run_routing(binary, quick):
     return report
 
 
-def check_routing_gates(report, latency_limit):
-    """The tentpole acceptance gates over the routing sweep. Sub-linearity
-    is asserted between the top two scales (a 10x population step): the
-    advertisement bytes and the per-event admitted-subgroup count must grow
-    by well under the population ratio — the subgroup cap plus bounded
-    summaries make both nearly flat once the table is large. The latency
-    gate compares the aggregated match path against the unaggregated engine
-    at the smallest scale (10k subs in the full run)."""
+def check_routing_gates(report):
+    """The acceptance gates over the routing sweep: the sampled
+    summary-soundness oracle must be exact at every scale, and
+    sub-linearity is asserted between the top two scales (a 10x population
+    step): the advertisement bytes and the per-event admitted-subgroup
+    count must grow by well under the population ratio — the subgroup cap
+    plus bounded summaries make both nearly flat once the table is
+    large."""
     scales = report.get("scales", [])
     failures = []
     if not report.get("exact", False):
@@ -497,21 +497,10 @@ def check_routing_gates(report, latency_limit):
             failures.append(
                 f"admitted subgroups grew x{admitted_ratio:.2f} over a "
                 f"x{pop_ratio:.0f} population step (not sub-linear)")
-    baseline = report.get("baseline", {})
-    if scales and baseline.get("match_us_per_event") and latency_limit > 0:
-        aggregated = scales[0]["match_us_per_event"]
-        unaggregated = baseline["match_us_per_event"]
-        print(f"[bench_runner] routing: {baseline.get('subs')}-sub match "
-              f"aggregated {aggregated:.1f}us vs unaggregated {unaggregated:.1f}us")
-        if aggregated > unaggregated * latency_limit:
-            failures.append(
-                f"aggregated match is {aggregated / unaggregated:.2f}x the "
-                f"unaggregated path at {baseline.get('subs')} subs "
-                f"(limit {latency_limit}x)")
     return failures
 
 
-def write_routing_json(build_dir, out_path, quick, context, latency_limit):
+def write_routing_json(build_dir, out_path, quick, context):
     routing_binary = find_binary(build_dir, "micro_routing")
     if routing_binary is None:
         print("[bench_runner] micro_routing binary not found; skipping BENCH_routing.json")
@@ -523,7 +512,7 @@ def write_routing_json(build_dir, out_path, quick, context, latency_limit):
         covering_rows, _ = run_micro(covering_binary, quick)
     print("[bench_runner] running micro_routing scale sweep ...", flush=True)
     report = run_routing(routing_binary, quick)
-    failures = check_routing_gates(report, latency_limit)
+    failures = check_routing_gates(report)
     result = {
         "schema_version": 1,
         "generated_unix_time": int(time.time()),
@@ -567,14 +556,6 @@ def main():
         "--routing-out",
         default=None,
         help="default: <build-dir>/BENCH_routing.json",
-    )
-    parser.add_argument(
-        "--routing-latency-limit",
-        type=float,
-        default=2.0,
-        help="fail when the aggregated match path is more than this factor "
-        "slower than the unaggregated engine at the smallest routing scale "
-        "(0 disables the gate)",
     )
     parser.add_argument(
         "--quick",
@@ -699,8 +680,7 @@ def main():
 
     write_store_json(args.build_dir, store_out, args.quick, context)
     write_net_json(args.build_dir, net_out, args.quick, context)
-    write_routing_json(args.build_dir, routing_out, args.quick, context,
-                       args.routing_latency_limit)
+    write_routing_json(args.build_dir, routing_out, args.quick, context)
     write_scenario_json(args.build_dir, scenario_out, args.quick, context)
 
 

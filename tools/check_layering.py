@@ -49,8 +49,7 @@ ALLOWED_DEPS: dict[str, set[str]] = {
     # routing/messages.hpp carries subgroup summaries (aggregated routing)
     # and the per-event trace context (obs) overlay hops propagate.
     "routing": {"common", "event", "subscription", "agg", "obs"},
-    "core": {"common", "event", "subscription", "filter", "selectivity", "obs",
-             "agg"},
+    "core": {"common", "event", "subscription", "filter", "selectivity", "obs"},
     "broker": {"common", "event", "subscription", "core", "routing", "agg",
                "obs"},
     "workload": {"common", "event", "subscription"},
@@ -64,7 +63,7 @@ ALLOWED_DEPS: dict[str, set[str]] = {
     "store": {"common", "event", "subscription", "core", "routing",
               "selectivity", "obs"},
     "api": {"common", "event", "subscription", "core", "selectivity", "store",
-            "obs", "agg"},
+            "obs"},
     # The network edge of the daemon: wire protocol + epoll server + client.
     # Sits on the public facade (api) and the codec; nothing inside src/ may
     # include net except scenario's sockets transport — the daemon and CLI
