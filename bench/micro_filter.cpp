@@ -47,7 +47,7 @@ void BM_CountingMatcher(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_CountingMatcher)->Arg(1000)->Arg(10000)->Arg(50000);
+BENCHMARK(BM_CountingMatcher)->Arg(1000)->Arg(10000)->Arg(50000)->Arg(100000);
 
 void BM_NaiveMatcher(benchmark::State& state) {
   Fixture fx(static_cast<std::size_t>(state.range(0)));

@@ -273,6 +273,7 @@ void register_metrics_hook(const std::shared_ptr<PubSubCore>& core) {
   auto* predicate_hits = &r.counter("dbsp_predicate_hits_total");
   auto* counter_increments = &r.counter("dbsp_counter_increments_total");
   auto* tree_evaluations = &r.counter("dbsp_tree_evaluations_total");
+  auto* trigger_precision = &r.gauge("dbsp_trigger_precision");
   auto* matches = &r.counter("dbsp_matches_total");
   auto* wal_records = &r.counter("dbsp_wal_records_total");
   auto* wal_bytes = &r.counter("dbsp_wal_bytes_total");
@@ -299,6 +300,12 @@ void register_metrics_hook(const std::shared_ptr<PubSubCore>& core) {
     predicate_hits->sync_to(counters.predicate_hits);
     counter_increments->sync_to(counters.counter_increments);
     tree_evaluations->sync_to(counters.tree_evaluations);
+    // Share of pmin-triggered evaluations that matched, since the last
+    // reset_counters(): how much evaluation work the trigger wastes.
+    trigger_precision->set(counters.tree_evaluations == 0
+                               ? 0.0
+                               : static_cast<double>(counters.matches) /
+                                     static_cast<double>(counters.tree_evaluations));
     matches->sync_to(counters.matches);
     if (c->store) {
       const StoreStats& st = c->store->stats();

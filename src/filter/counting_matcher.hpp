@@ -19,14 +19,21 @@ namespace dbsp {
 /// The counting-based filtering engine for Boolean subscriptions
 /// (non-canonical algorithm of the paper's ref [2]).
 ///
-/// Two-phase matching: (1) per-attribute indexes produce the set of
+/// Three-stage matching: (1) per-attribute indexes produce the set of
 /// predicates fulfilled by the event — each distinct predicate is tested at
 /// most once regardless of how many subscriptions use it; (2) counters over
 /// predicate/subscription associations find subscriptions whose number of
-/// fulfilled predicates reaches pmin, and only those have their Boolean
-/// tree evaluated (the pmin evaluation trigger central to the throughput
-/// heuristic of §3.3). Subscriptions with pmin == 0 (satisfiable through a
-/// NOT by absence of matches) are evaluated on every event.
+/// fulfilled leaves reaches pmin (the pmin evaluation trigger central to
+/// the throughput heuristic of §3.3) — each bump touches one 16-byte
+/// {epoch, count, pmin} record; (3) only those candidates are evaluated,
+/// by running the subscription's compiled program (a flat pre-order op
+/// array built at add/reindex time) against a bitset of the fulfilled
+/// predicates. Subscriptions with pmin == 0 (satisfiable through a NOT by
+/// absence of matches) are evaluated on every event.
+///
+/// The program is also the matcher's only record of which predicates a
+/// subscription references: remove() and reindex() release references by
+/// walking its leaf ops, so the tree may change in between.
 ///
 /// The matcher does not own subscriptions; registered Subscription objects
 /// must outlive it and their addresses must be stable. Trees may only be
@@ -89,17 +96,32 @@ class CountingMatcher {
 
  private:
   struct Slot {
-    Subscription* sub = nullptr;
+    Subscription* sub = nullptr;  ///< null while the slot is free
+    /// The tree compiled at last (re)index; the op format is described in
+    /// counting_matcher.cpp.
+    std::vector<std::uint32_t> program;
+  };
+  /// Per-slot state a counter bump touches, kept dense and apart from Slot
+  /// so one bump reads and writes a single cache line. `count` is valid
+  /// only while `epoch` equals the matcher's epoch.
+  struct Hot {
+    std::uint64_t epoch = 0;
+    std::uint32_t count = 0;
     std::uint32_t pmin = 0;
-    /// Snapshot of the tree's predicate multiset at last (re)index:
-    /// (predicate id, leaf count). Used to diff on reindex/remove.
-    std::vector<std::pair<PredicateId, std::uint32_t>> preds;
   };
 
   [[nodiscard]] std::uint32_t slot_of(SubscriptionId id) const;
-  void index_tree(Subscription& sub, std::vector<std::pair<PredicateId, std::uint32_t>>& preds);
-  void release_snapshot(SubscriptionId id,
-                        const std::vector<std::pair<PredicateId, std::uint32_t>>& preds);
+  /// Interns and indexes every leaf under `node` for subscription `id` in
+  /// `slot`, and appends the subtree's compiled ops to `program`, in one
+  /// walk.
+  void index_tree(Node& node, SubscriptionId id, std::uint32_t slot,
+                  std::vector<std::uint32_t>& program);
+  /// Releases one reference per leaf op of `program`.
+  void release_program(SubscriptionId id, std::uint32_t slot,
+                       const std::vector<std::uint32_t>& program);
+  /// Evaluates the program node at `pc` against `fulfilled_` and leaves
+  /// `pc` just past that node's code.
+  [[nodiscard]] bool run(const std::uint32_t*& pc) const;
   void set_pmin(std::uint32_t slot, std::uint32_t pmin);
   void grow_predicate_arrays();
 
@@ -117,13 +139,14 @@ class CountingMatcher {
   PredicateRegistry registry_;
   std::vector<AttributeIndex> attr_index_;            // by attribute id
   std::vector<std::vector<PredSub>> pred_slots_;      // by predicate id
-  std::vector<std::uint64_t> pred_epoch_;             // by predicate id
+  /// Bit per predicate id, set for the predicates the current event
+  /// fulfills; all zero outside match().
+  std::vector<std::uint64_t> fulfilled_;
 
   std::unordered_map<SubscriptionId::value_type, std::uint32_t> slot_by_id_;
   std::vector<Slot> slots_;
+  std::vector<Hot> hot_;  // by slot
   std::vector<std::uint32_t> free_slots_;
-  std::vector<std::uint32_t> counter_;
-  std::vector<std::uint64_t> counter_epoch_;
   std::vector<std::uint32_t> always_eval_;  // slots with pmin == 0
 
   std::uint64_t epoch_ = 0;
@@ -131,6 +154,7 @@ class CountingMatcher {
   bool pmin_trigger_ = true;
   std::vector<PredicateId> scratch_preds_;
   std::vector<std::uint32_t> scratch_candidates_;
+  std::vector<std::uint32_t> scratch_program_;
   Counters counters_;
 };
 

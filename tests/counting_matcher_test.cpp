@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "core/candidates.hpp"
+#include "filter/naive_matcher.hpp"
 #include "subscription/parser.hpp"
 #include "test_util.hpp"
 
@@ -31,6 +32,14 @@ class CountingMatcherTest : public ::testing::Test {
     m.match(e, out);
     std::sort(out.begin(), out.end());
     return out;
+  }
+
+  /// Matches `e` on both matchers and expects the same ids.
+  void expect_agree(CountingMatcher& m, const NaiveMatcher& naive, const Event& e) const {
+    std::vector<SubscriptionId> expected;
+    naive.match(e, expected);
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(match(m, e), expected);
   }
 
   Schema schema_;
@@ -190,6 +199,99 @@ TEST_F(CountingMatcherTest, SlotRecyclingAfterRemoveAdd) {
   m.add(*s2);
   const Event e = EventBuilder(schema_).with("price", 5.0).with("year", 2000).build();
   EXPECT_EQ(match(m, e), std::vector<SubscriptionId>{SubscriptionId(2)});
+}
+
+TEST_F(CountingMatcherTest, FreedSlotRunsOnlyTheNewTree) {
+  CountingMatcher m(schema_);
+  NaiveMatcher naive;
+  auto s1 = sub(1, "not category = 'art'");  // pmin 0: on the always list
+  m.add(*s1);
+  naive.add(*s1);
+  m.remove(*s1);
+  naive.remove(s1->id());
+  auto s2 = sub(2, "price < 10 and year > 1990");  // takes the freed slot
+  m.add(*s2);
+  naive.add(*s2);
+  m.reset_counters();
+  // s1's program would match this event; s2's tree is never triggered.
+  const Event music = EventBuilder(schema_).with("category", "music").build();
+  expect_agree(m, naive, music);
+  EXPECT_EQ(m.counters().tree_evaluations, 0u);
+  const Event both = EventBuilder(schema_).with("price", 5.0).with("year", 2000).build();
+  expect_agree(m, naive, both);
+  EXPECT_EQ(match(m, both), std::vector<SubscriptionId>{SubscriptionId(2)});
+}
+
+TEST_F(CountingMatcherTest, ReindexMovesTreeOntoAndOffTheAlwaysList) {
+  CountingMatcher m(schema_);
+  NaiveMatcher naive;
+  auto s = sub(1, "price < 10 and not category = 'art'");  // pmin 1
+  m.add(*s);
+  naive.add(*s);
+  const Event music = EventBuilder(schema_).with("category", "music").build();
+  expect_agree(m, naive, music);
+  EXPECT_TRUE(match(m, music).empty());
+
+  apply_pruning(*s, {0});  // leaves "not category = 'art'": pmin 0
+  m.reindex(*s);
+  ASSERT_EQ(s->root().pmin(), 0u);
+  expect_agree(m, naive, music);
+  EXPECT_EQ(match(m, music), std::vector<SubscriptionId>{SubscriptionId(1)});
+  m.remove(*s);
+  naive.remove(s->id());
+  m.reset_counters();
+  expect_agree(m, naive, music);
+  EXPECT_EQ(m.counters().tree_evaluations, 0u);  // gone from the always list
+}
+
+TEST_F(CountingMatcherTest, TriggerOffEvaluatesEveryLiveTree) {
+  CountingMatcher m(schema_);
+  NaiveMatcher naive;
+  auto s1 = sub(1, "category = 'art' and price < 10");
+  auto s2 = sub(2, "year > 1990 or not price < 10");
+  auto s3 = sub(3, "price < 10 or (price < 10 and category = 'art')");
+  for (auto* s : {s1.get(), s2.get(), s3.get()}) {
+    m.add(*s);
+    naive.add(*s);
+  }
+  m.remove(*s2);  // leaves a free slot the ablation loop must skip
+  naive.remove(s2->id());
+  m.set_pmin_trigger(false);
+  m.reset_counters();
+  const Event e1 = EventBuilder(schema_).with("category", "art").with("price", 5.0).build();
+  const Event e2 = EventBuilder(schema_).with("year", 1980).build();
+  expect_agree(m, naive, e1);
+  expect_agree(m, naive, e2);
+  EXPECT_EQ(m.counters().tree_evaluations, 4u);  // 2 live trees x 2 events
+  EXPECT_EQ(m.counters().counter_increments, 0u);
+}
+
+TEST_F(CountingMatcherTest, RepeatedPredicateReleasedLeafByLeaf) {
+  CountingMatcher m(schema_);
+  NaiveMatcher naive;
+  // price < 10 sits in three leaves: one association with leaf_refs 3.
+  auto s = sub(1, "(price < 10 or category = 'art') and (price < 10 or year > 1990) and "
+                  "(price < 10 or year < 1950)");
+  m.add(*s);
+  naive.add(*s);
+  const auto pid = m.registry().find(parse_subscription("price < 10", schema_)->predicate());
+  ASSERT_TRUE(pid.has_value());
+  ASSERT_EQ(m.registry().associations(*pid).size(), 1u);
+  EXPECT_EQ(m.registry().associations(*pid)[0].leaf_refs, 3u);
+  EXPECT_EQ(m.associations_of(SubscriptionId(1)), 4u);
+
+  apply_pruning(*s, {0});  // drops one of the three price < 10 leaves
+  m.reindex(*s);
+  EXPECT_EQ(m.registry().associations(*pid)[0].leaf_refs, 2u);
+  EXPECT_EQ(m.associations_of(SubscriptionId(1)), 3u);
+  const Event e = EventBuilder(schema_).with("price", 5.0).build();
+  expect_agree(m, naive, e);
+  const Event old = EventBuilder(schema_).with("year", 2000).with("category", "art").build();
+  expect_agree(m, naive, old);
+
+  m.remove(*s);
+  EXPECT_EQ(m.association_count(), 0u);
+  EXPECT_EQ(m.live_predicates(), 0u);
 }
 
 }  // namespace

@@ -405,6 +405,40 @@ TEST(FacadeMetricsTest, RegistryAgreesWithLegacyCountersAfterSoak) {
             s.value("dbsp_match_events_total"));
 }
 
+TEST(FacadeMetricsTest, TriggerPrecisionIsMatchesPerTreeEvaluation) {
+  PubSubOptions options;
+  options.engine.shards = 2;
+  PubSub pubsub(market_schema(), options);
+  // No evaluation yet: the gauge reads 0, not a division by zero.
+  EXPECT_DOUBLE_EQ(pubsub.metrics().value("dbsp_trigger_precision"), 0.0);
+
+  std::vector<SubscriptionHandle> live;
+  for (int i = 0; i < 10; ++i) {
+    live.push_back(pubsub.subscribe("price < " + std::to_string(10 * i + 5)).value());
+  }
+  // pmin 0: evaluated on every event, matches only the "B" ones, so some
+  // evaluations fail and the precision lands strictly inside (0, 1).
+  live.push_back(pubsub.subscribe("not sym = 'A'").value());
+  for (int i = 0; i < 50; ++i) {
+    (void)pubsub.publish(pubsub.event()
+                             .with("sym", i % 2 == 0 ? "A" : "B")
+                             .with("price", static_cast<double>(i * 3 % 120))
+                             .with("volume", std::int64_t{i})
+                             .build());
+  }
+  const CountingMatcher::Counters counters = pubsub.counters();
+  ASSERT_GT(counters.tree_evaluations, 0u);
+  const double precision = pubsub.metrics().value("dbsp_trigger_precision");
+  EXPECT_DOUBLE_EQ(precision, static_cast<double>(counters.matches) /
+                                  static_cast<double>(counters.tree_evaluations));
+  EXPECT_GT(precision, 0.0);
+  EXPECT_LT(precision, 1.0);
+
+  // It is a ratio over the current counters, so a reset returns it to 0.
+  pubsub.reset_counters();
+  EXPECT_DOUBLE_EQ(pubsub.metrics().value("dbsp_trigger_precision"), 0.0);
+}
+
 TEST(FacadeMetricsTest, DurableStoreSeriesTrackStoreStats) {
   namespace fs = std::filesystem;
   const fs::path dir =

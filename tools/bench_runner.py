@@ -97,7 +97,7 @@ def run_micro(binary, quick):
     """Run one Google-Benchmark binary with JSON output and normalize it."""
     cmd = [binary, "--benchmark_format=json"]
     if quick:
-        # Short min-time, and skip the large-argument variants (10k/50k subs).
+        # Short min-time, and skip the large-argument variants (10k/50k/100k subs).
         # micro_api, micro_metrics, and micro_trace keep a longer floor even
         # in quick mode: their outputs are ratios (direct-vs-facade, metrics
         # on-vs-off, tracing on-vs-off), and single-iteration timings are too
@@ -105,7 +105,7 @@ def run_micro(binary, quick):
         ratio_bench = os.path.basename(binary) in (
             "micro_api", "micro_metrics", "micro_trace")
         min_time = "0.5" if ratio_bench else "0.05"
-        cmd += [f"--benchmark_min_time={min_time}", "--benchmark_filter=-/(10000|50000)$"]
+        cmd += [f"--benchmark_min_time={min_time}", "--benchmark_filter=-/(10000|50000|100000)$"]
     proc = subprocess.run(cmd, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.stderr.write(proc.stdout + proc.stderr)
