@@ -1,7 +1,8 @@
 // Ablation A2: value of the pmin evaluation trigger (ref [2]) inside the
 // counting matcher — the mechanism the throughput heuristic Δ≈eff protects.
-// Matches the same workload with the trigger on and off and reports tree
-// evaluations and wall time, at three pruning depths of the throughput
+// Matches the same workload with the trigger on and off and reports counter
+// bumps, tree evaluations, trigger precision (matches per evaluation) and
+// wall time, at three pruning depths of the throughput
 // heuristic (pruning lowers pmin, so the trigger's value shrinks as
 // pruning proceeds — exactly the effect Δ≈eff fights).
 
@@ -36,8 +37,8 @@ int main() {
   std::printf("=== Ablation A2: pmin evaluation trigger ===\n");
   std::printf("%zu subscriptions, %zu events, throughput-dimension pruning\n\n",
               n_subs, n_events);
-  std::printf("%-10s %-9s %16s %16s %12s\n", "fraction", "trigger", "evaluations",
-              "matches", "ms/event");
+  std::printf("%-10s %-9s %14s %14s %12s %10s %10s\n", "fraction", "trigger", "bumps",
+              "evaluations", "matches", "precision", "ms/event");
 
   AuctionSubscriptionGenerator sub_gen(domain, 1);
   std::vector<std::unique_ptr<Subscription>> subs;
@@ -70,11 +71,15 @@ int main() {
         matcher.match(e, out);
       }
       watch.stop();
-      (trigger ? matches_on : matches_off) = matcher.counters().matches;
-      std::printf("%-10.1f %-9s %16llu %16llu %12.3f\n", fraction,
-                  trigger ? "on" : "off",
-                  static_cast<unsigned long long>(matcher.counters().tree_evaluations),
-                  static_cast<unsigned long long>(matcher.counters().matches),
+      const auto& c = matcher.counters();
+      (trigger ? matches_on : matches_off) = c.matches;
+      std::printf("%-10.1f %-9s %14llu %14llu %12llu %10.4f %10.3f\n", fraction,
+                  trigger ? "on" : "off", static_cast<unsigned long long>(c.counter_increments),
+                  static_cast<unsigned long long>(c.tree_evaluations),
+                  static_cast<unsigned long long>(c.matches),
+                  c.tree_evaluations == 0 ? 0.0
+                                          : static_cast<double>(c.matches) /
+                                                static_cast<double>(c.tree_evaluations),
                   1e3 * watch.seconds() / static_cast<double>(n_events));
     }
     if (matches_on != matches_off) ++mismatches;  // must agree semantically

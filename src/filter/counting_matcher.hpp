@@ -22,18 +22,32 @@ namespace dbsp {
 /// Three-stage matching: (1) per-attribute indexes produce the set of
 /// predicates fulfilled by the event — each distinct predicate is tested at
 /// most once regardless of how many subscriptions use it; (2) counters over
-/// predicate/subscription associations find subscriptions whose number of
-/// fulfilled leaves reaches pmin (the pmin evaluation trigger central to
-/// the throughput heuristic of §3.3) — each bump touches one 16-byte
-/// {epoch, count, pmin} record; (3) only those candidates are evaluated,
-/// by running the subscription's compiled program (a flat pre-order op
-/// array built at add/reindex time) against a bitset of the fulfilled
-/// predicates. Subscriptions with pmin == 0 (satisfiable through a NOT by
-/// absence of matches) are evaluated on every event.
+/// predicate/subscription associations find the candidate subscriptions —
+/// each bump touches one 16-byte {epoch, count, pmin} record; (3) only
+/// those candidates are evaluated, by running the subscription's compiled
+/// program (a flat pre-order op array built at add/reindex time) against a
+/// bitset of the fulfilled predicates.
+///
+/// Stage (2) is a selective pmin trigger. Only the *access leaves* of a
+/// tree feed its counter, and the tree becomes a candidate once that count
+/// reaches pmin_A: Node::pmin's recursion with every other leaf counted as
+/// 0. A tree can only be true when that many of its access leaves are, so
+/// no match is lost. The access set comes from the matcher's own
+/// statistics — how often each predicate was fulfilled since it was
+/// interned: a leaf accesses itself, an And keeps the cheapest child's set
+/// (fewest expected fulfilments, then fewest referencing leaves), an Or the
+/// union of its children's, Not and True none (their subtree can be true
+/// with nothing fulfilled). Trees whose pmin_A is 0 — exactly those with
+/// pmin 0, satisfiable through a NOT by absence of matches — are evaluated
+/// on every event. Until the matcher has seen kWarmupEvents events every
+/// leaf is an access leaf: that is the paper's all-leaves trigger. It then
+/// re-plans every tree whenever its event count reaches 8, 16, 32, ...;
+/// add() and reindex() plan a new tree with the statistics at hand.
 ///
 /// The program is also the matcher's only record of which predicates a
-/// subscription references: remove() and reindex() release references by
-/// walking its leaf ops, so the tree may change in between.
+/// subscription references, and of which of its leaves are access leaves:
+/// remove() and reindex() release references by walking its leaf ops, so
+/// the tree may change in between.
 ///
 /// The matcher does not own subscriptions; registered Subscription objects
 /// must outlive it and their addresses must be stable. Trees may only be
@@ -45,6 +59,10 @@ namespace dbsp {
 /// running one matcher per shard.
 class CountingMatcher {
  public:
+  /// Events a matcher sees before its first selective plan; a predicate
+  /// interned fewer events ago is priced as fulfilled by every event.
+  static constexpr std::uint64_t kWarmupEvents = 8;
+
   explicit CountingMatcher(const Schema& schema);
 
   /// Registers a subscription: interns its predicates, assigns leaf
@@ -67,9 +85,7 @@ class CountingMatcher {
   [[nodiscard]] std::size_t subscription_count() const { return live_subs_; }
 
   /// Predicate/subscription association count (memory metric, Fig 1c/1f).
-  [[nodiscard]] std::size_t association_count() const {
-    return registry_.association_count();
-  }
+  [[nodiscard]] std::size_t association_count() const { return association_count_; }
   /// Associations contributed by one subscription (= its distinct
   /// predicates); lets experiments restrict the metric to non-local subs.
   [[nodiscard]] std::size_t associations_of(SubscriptionId id) const;
@@ -87,7 +103,7 @@ class CountingMatcher {
   struct Counters {
     std::uint64_t events = 0;
     std::uint64_t predicate_hits = 0;      ///< fulfilled predicates found by indexes
-    std::uint64_t counter_increments = 0;  ///< association counter bumps
+    std::uint64_t counter_increments = 0;  ///< access-leaf counter bumps
     std::uint64_t tree_evaluations = 0;    ///< Boolean trees evaluated
     std::uint64_t matches = 0;             ///< subscriptions matched
   };
@@ -110,26 +126,52 @@ class CountingMatcher {
     std::uint32_t pmin = 0;
   };
 
+  /// A tree's plan cost: expected access-leaf fulfilments per event, then
+  /// the leaves referencing those predicates as a tie-break. `bounded` is
+  /// false for a subtree that can be true with nothing fulfilled (its
+  /// pmin_A is 0 whatever it indexes), so an And never picks it.
+  struct Plan {
+    double hits = 0;
+    std::uint64_t references = 0;
+    bool bounded = false;
+  };
+  /// When a predicate id was interned (as an epoch) and how many events
+  /// since then fulfilled it.
+  struct PredStats {
+    std::uint64_t born = 0;
+    std::uint64_t hits = 0;
+  };
+
   [[nodiscard]] std::uint32_t slot_of(SubscriptionId id) const;
-  /// Interns and indexes every leaf under `node` for subscription `id` in
-  /// `slot`, and appends the subtree's compiled ops to `program`, in one
-  /// walk.
-  void index_tree(Node& node, SubscriptionId id, std::uint32_t slot,
-                  std::vector<std::uint32_t>& program);
-  /// Releases one reference per leaf op of `program`.
-  void release_program(SubscriptionId id, std::uint32_t slot,
-                       const std::vector<std::uint32_t>& program);
+  /// Interns every leaf under `node`, stores the ids on the tree and
+  /// appends the subtree's compiled ops (all plain leaves) to `program`.
+  void compile(Node& node, std::vector<std::uint32_t>& program);
+  /// Releases one registry reference per leaf op of `program`.
+  void release(const std::vector<std::uint32_t>& program);
+  /// Chooses the slot's access leaves, marks them in its program and sets
+  /// its pmin_A.
+  void plan(std::uint32_t slot);
+  /// Marks the access leaves of the program node at `pc` and leaves `pc`
+  /// just past that node's code.
+  Plan plan_node(std::uint32_t*& pc);
+  /// Re-plans every live slot and rebuilds the access lists from scratch.
+  void replan();
+  /// Adds (removes) the slot's entries in the access lists of its access
+  /// leaves' predicates.
+  void link(std::uint32_t slot);
+  void unlink(std::uint32_t slot);
+  /// Expected share of events that fulfill the predicate.
+  [[nodiscard]] double hit_rate(std::uint32_t pred) const;
   /// Evaluates the program node at `pc` against `fulfilled_` and leaves
   /// `pc` just past that node's code.
   [[nodiscard]] bool run(const std::uint32_t*& pc) const;
   void set_pmin(std::uint32_t slot, std::uint32_t pmin);
   void grow_predicate_arrays();
 
-  /// One association as seen from a predicate: the subscription's slot and
-  /// how many of its leaves carry this predicate. Counters advance by
-  /// `leaf_refs` so they count fulfilled *leaf occurrences* — pmin is a
-  /// bound on fulfilled leaves, not on distinct predicates (a predicate
-  /// duplicated across leaves must count once per leaf).
+  /// One slot in a predicate's access list, with how many of the slot's
+  /// access leaves carry this predicate. Counters advance by `leaf_refs`
+  /// so they count fulfilled *leaf occurrences* — pmin_A is a bound on
+  /// fulfilled access leaves, not on distinct predicates.
   struct PredSub {
     std::uint32_t slot = 0;
     std::uint32_t leaf_refs = 0;
@@ -138,7 +180,8 @@ class CountingMatcher {
   const Schema* schema_;
   PredicateRegistry registry_;
   std::vector<AttributeIndex> attr_index_;            // by attribute id
-  std::vector<std::vector<PredSub>> pred_slots_;      // by predicate id
+  std::vector<std::vector<PredSub>> pred_slots_;      // access lists, by predicate id
+  std::vector<PredStats> pred_stats_;                 // by predicate id
   /// Bit per predicate id, set for the predicates the current event
   /// fulfills; all zero outside match().
   std::vector<std::uint64_t> fulfilled_;
@@ -147,14 +190,19 @@ class CountingMatcher {
   std::vector<Slot> slots_;
   std::vector<Hot> hot_;  // by slot
   std::vector<std::uint32_t> free_slots_;
-  std::vector<std::uint32_t> always_eval_;  // slots with pmin == 0
+  std::vector<std::uint32_t> always_eval_;  // slots with pmin_A == 0
 
+  /// Events matched so far; never reset.
   std::uint64_t epoch_ = 0;
+  /// The epoch at whose end every tree is re-planned next.
+  std::uint64_t next_plan_ = kWarmupEvents;
+  std::size_t association_count_ = 0;
   std::size_t live_subs_ = 0;
   bool pmin_trigger_ = true;
   std::vector<PredicateId> scratch_preds_;
   std::vector<std::uint32_t> scratch_candidates_;
   std::vector<std::uint32_t> scratch_program_;
+  std::vector<std::uint32_t> scratch_ids_;
   Counters counters_;
 };
 

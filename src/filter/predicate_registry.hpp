@@ -1,8 +1,8 @@
 #pragma once
 
 /// \file
-/// Predicate interning and (predicate, subscription) association tracking
-/// for the counting matcher.
+/// Predicate interning with per-predicate leaf reference counts for the
+/// counting matcher.
 
 #include <cstdint>
 #include <memory>
@@ -15,54 +15,44 @@
 
 namespace dbsp {
 
-/// Interns predicates and tracks predicate/subscription associations.
+/// Interns predicates and counts the subscription leaves that reference
+/// each one.
 ///
 /// Structurally equal predicates across all subscriptions share one
 /// PredicateId, so each distinct condition is evaluated at most once per
-/// event. Each association (predicate, subscription) carries a leaf
-/// reference count because one subscription may use the same predicate in
-/// several leaves; the association disappears when the last leaf is pruned.
-/// The total number of associations is the memory metric of the paper's
-/// Figures 1(c)/1(f).
+/// event. A predicate lives while at least one leaf references it; its id
+/// is recycled after the last release. Every call costs one hash lookup at
+/// most: the registry keeps no per-predicate subscriber list. Which
+/// subscription uses which predicate is recorded in the matcher's compiled
+/// programs, and the matcher counts (predicate, subscription) associations
+/// from them.
 ///
 /// Not thread-safe; owned and serialized by its matcher.
 class PredicateRegistry {
  public:
-  struct Association {
-    SubscriptionId subscription;
-    std::uint32_t leaf_refs = 0;
-  };
-
   struct AddResult {
     PredicateId id;
-    bool new_association = false;  ///< first leaf of `sub` referencing this predicate
-    bool new_predicate = false;    ///< predicate was not interned before (index it)
-  };
-  struct ReleaseResult {
-    bool association_removed = false;  ///< `sub` no longer references the predicate
-    /// Set when the last reference overall was released: the predicate is
-    /// handed back so the caller can remove it from attribute indexes (the
-    /// registry storage is already recycled at that point).
-    std::unique_ptr<Predicate> removed_predicate;
+    bool new_predicate = false;  ///< predicate was not interned before (index it)
   };
 
-  /// Interns `pred` and records one leaf reference from `sub`.
-  AddResult add_reference(const Predicate& pred, SubscriptionId sub);
+  /// Interns `pred` and records one leaf reference to it.
+  AddResult add_reference(const Predicate& pred);
 
-  /// Releases one leaf reference of `pred_id` from `sub`.
-  ReleaseResult release_reference(PredicateId pred_id, SubscriptionId sub);
+  /// Releases one leaf reference of `pred_id`. When that was the last one,
+  /// returns the predicate so the caller can remove it from attribute
+  /// indexes (its id is already recycled at that point); otherwise null.
+  /// Throws std::logic_error for a recycled id.
+  std::unique_ptr<Predicate> release_reference(PredicateId pred_id);
 
   /// The interned predicate. The reference stays valid until the
   /// predicate's last reference is released (heap-allocated storage), so
   /// indexes may hold it across registry growth.
   [[nodiscard]] const Predicate& predicate(PredicateId id) const;
-  [[nodiscard]] const std::vector<Association>& associations(PredicateId id) const;
+  /// Leaves currently referencing the predicate; 0 once its id is recycled.
+  [[nodiscard]] std::uint64_t references(PredicateId id) const;
 
   /// Number of live distinct predicates.
   [[nodiscard]] std::size_t live_predicates() const { return live_predicates_; }
-  /// Total number of (predicate, subscription) associations — the pred/sub
-  /// association count of Fig. 1(c)/(f).
-  [[nodiscard]] std::size_t association_count() const { return association_count_; }
   /// Upper bound over all ids ever issued (dense array sizing).
   [[nodiscard]] std::size_t capacity() const { return entries_.size(); }
 
@@ -71,15 +61,13 @@ class PredicateRegistry {
  private:
   struct Entry {
     std::unique_ptr<Predicate> pred;  // null once recycled; heap for address stability
-    std::vector<Association> subs;
-    std::uint64_t total_refs = 0;
+    std::uint64_t references = 0;
   };
 
   std::vector<Entry> entries_;
   std::vector<PredicateId> free_ids_;
   std::unordered_map<Predicate, PredicateId> intern_;
   std::size_t live_predicates_ = 0;
-  std::size_t association_count_ = 0;
 };
 
 }  // namespace dbsp

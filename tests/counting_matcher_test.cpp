@@ -269,20 +269,19 @@ TEST_F(CountingMatcherTest, TriggerOffEvaluatesEveryLiveTree) {
 TEST_F(CountingMatcherTest, RepeatedPredicateReleasedLeafByLeaf) {
   CountingMatcher m(schema_);
   NaiveMatcher naive;
-  // price < 10 sits in three leaves: one association with leaf_refs 3.
+  // price < 10 sits in three leaves: one association, three references.
   auto s = sub(1, "(price < 10 or category = 'art') and (price < 10 or year > 1990) and "
                   "(price < 10 or year < 1950)");
   m.add(*s);
   naive.add(*s);
   const auto pid = m.registry().find(parse_subscription("price < 10", schema_)->predicate());
   ASSERT_TRUE(pid.has_value());
-  ASSERT_EQ(m.registry().associations(*pid).size(), 1u);
-  EXPECT_EQ(m.registry().associations(*pid)[0].leaf_refs, 3u);
+  EXPECT_EQ(m.registry().references(*pid), 3u);
   EXPECT_EQ(m.associations_of(SubscriptionId(1)), 4u);
 
   apply_pruning(*s, {0});  // drops one of the three price < 10 leaves
   m.reindex(*s);
-  EXPECT_EQ(m.registry().associations(*pid)[0].leaf_refs, 2u);
+  EXPECT_EQ(m.registry().references(*pid), 2u);
   EXPECT_EQ(m.associations_of(SubscriptionId(1)), 3u);
   const Event e = EventBuilder(schema_).with("price", 5.0).build();
   expect_agree(m, naive, e);
@@ -292,6 +291,82 @@ TEST_F(CountingMatcherTest, RepeatedPredicateReleasedLeafByLeaf) {
   m.remove(*s);
   EXPECT_EQ(m.association_count(), 0u);
   EXPECT_EQ(m.live_predicates(), 0u);
+}
+
+TEST_F(CountingMatcherTest, FreshPredicateIsNotChosenOverAnObservedOne) {
+  CountingMatcher m(schema_);
+  NaiveMatcher naive;
+  auto a = sub(1, "price < 10");
+  auto c = sub(2, "category = 'art'");
+  for (auto* s : {a.get(), c.get()}) {
+    m.add(*s);
+    naive.add(*s);
+  }
+  // 16 events (plans at 8 and 16): price < 10 never holds, category = 'art'
+  // holds in 12 of them.
+  for (int i = 0; i < 16; ++i) {
+    const Event e = EventBuilder(schema_)
+                        .with("price", 50.0)
+                        .with("category", i % 4 == 0 ? "music" : "art")
+                        .build();
+    expect_agree(m, naive, e);
+  }
+  // year > 1990 and year < 1900 are interned now, with no observations.
+  auto b = sub(3, "price < 10 and year > 1990");
+  auto d = sub(4, "category = 'art' and year < 1900");
+  for (auto* s : {b.get(), d.get()}) {
+    m.add(*s);
+    naive.add(*s);
+  }
+  m.reset_counters();
+  // Only the fresh predicates hold: neither tree counts them.
+  expect_agree(m, naive, EventBuilder(schema_).with("year", 2000).with("price", 50.0).build());
+  expect_agree(m, naive, EventBuilder(schema_).with("year", 1800).with("price", 50.0).build());
+  EXPECT_EQ(m.counters().counter_increments, 0u);
+  EXPECT_EQ(m.counters().tree_evaluations, 0u);
+  // Every observed predicate holds: one bump and one evaluation per tree.
+  m.reset_counters();
+  expect_agree(
+      m, naive,
+      EventBuilder(schema_).with("price", 5.0).with("category", "art").with("year", 2000).build());
+  EXPECT_EQ(m.counters().counter_increments, 4u);
+  EXPECT_EQ(m.counters().tree_evaluations, 4u);
+  EXPECT_EQ(m.counters().matches, 3u);
+}
+
+TEST_F(CountingMatcherTest, NotOnlyAndTrueTreesStayOnTheAlwaysListAcrossReplans) {
+  CountingMatcher m(schema_);
+  NaiveMatcher naive;
+  auto s1 = sub(1, "not price < 10");
+  auto s2 = std::make_unique<Subscription>(SubscriptionId(2), Node::constant(true));
+  auto s3 = sub(3, "price < 10 and not category = 'art'");  // pmin 1
+  auto s4 = sub(4, "not (price < 10 or year > 1990)");
+  auto s5 = sub(5, "category = 'art' or not price < 10");
+  for (auto* s : {s1.get(), s2.get(), s3.get(), s4.get(), s5.get()}) {
+    m.add(*s);
+    naive.add(*s);
+  }
+  // 70 events cross the plans at 8, 16, 32 and 64.
+  for (int i = 0; i < 70; ++i) {
+    m.reset_counters();
+    EventBuilder builder(schema_);
+    builder.with("price", i % 3 == 0 ? 5.0 : 50.0);
+    if (i % 5 == 0) builder.with("category", "art");
+    if (i % 2 == 0) builder.with("year", 1950 + i);
+    expect_agree(m, naive, builder.build());
+    // The four pmin-0 trees are evaluated on every event.
+    EXPECT_GE(m.counters().tree_evaluations, 4u) << "event " << i;
+  }
+  // Planned, no leaf under a Not and no leaf of a pmin-0 tree is counted,
+  // and the And indexes its leaf, not its Not child: of the fulfilled
+  // leaves only s3's price < 10 bumps, and s3 runs besides the four
+  // pmin-0 trees.
+  m.reset_counters();
+  expect_agree(
+      m, naive,
+      EventBuilder(schema_).with("price", 5.0).with("category", "art").with("year", 1800).build());
+  EXPECT_EQ(m.counters().counter_increments, 1u);
+  EXPECT_EQ(m.counters().tree_evaluations, 5u);
 }
 
 }  // namespace

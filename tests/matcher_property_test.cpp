@@ -47,25 +47,24 @@ std::vector<SubscriptionId> sorted_match(const NaiveMatcher& m, const Event& e) 
 }
 
 /// Asserts the matcher's references equal the live trees' leaf multisets:
-/// per subscription, associations_of() is its distinct predicate count and
-/// each association's leaf_refs is the number of leaves carrying it.
+/// per subscription, associations_of() is its distinct predicate count;
+/// per predicate, the registry's reference count is the number of live
+/// leaves carrying it, and no other predicate is live.
 void expect_refs_match_trees(const CountingMatcher& m,
                              const std::vector<const Subscription*>& live) {
   std::size_t total = 0;
+  std::map<PredicateId::value_type, std::uint64_t> refs;
   for (const Subscription* s : live) {
     std::map<PredicateId::value_type, std::uint32_t> leaves;
     s->root().for_each_leaf([&](const Node& leaf) { ++leaves[leaf.predicate_id().value()]; });
     EXPECT_EQ(m.associations_of(s->id()), leaves.size()) << "sub " << s->id().value();
-    for (const auto& [pid, count] : leaves) {
-      const auto& assocs = m.registry().associations(PredicateId(pid));
-      const auto it = std::find_if(assocs.begin(), assocs.end(), [&](const auto& a) {
-        return a.subscription == s->id();
-      });
-      ASSERT_NE(it, assocs.end()) << "sub " << s->id().value() << " pred " << pid;
-      EXPECT_EQ(it->leaf_refs, count) << "sub " << s->id().value() << " pred " << pid;
-    }
+    for (const auto& [pid, count] : leaves) refs[pid] += count;
     total += leaves.size();
   }
+  for (const auto& [pid, count] : refs) {
+    EXPECT_EQ(m.registry().references(PredicateId(pid)), count) << "pred " << pid;
+  }
+  EXPECT_EQ(m.live_predicates(), refs.size());
   EXPECT_EQ(m.association_count(), total);
 }
 
@@ -480,6 +479,98 @@ TEST(MatcherAssociations, AuctionCorpusAssociationsArePinned) {
   }
   expect_refs_match_trees(counting, live_subs(corpus, alive));
   EXPECT_EQ(sum(), kAuctionAssociationsPruned);
+}
+
+TEST(MatcherPlanBoundaries, ExactAcrossReplansUnderChurn) {
+  // The matcher re-plans its access leaves at 8, 16, 32, ... events. Churn
+  // lands right before and after each plan and between plans: adds, removes
+  // (whose slots later adds reuse) and prune-then-reindex, so trees enter
+  // under one plan and are matched, pruned or removed under the next.
+  MiniDomain dom(5, 16);
+  std::mt19937_64 rng(8128);
+  Corpus corpus = make_corpus(dom, rng, 150, 0.15);
+  CountingMatcher counting(dom.schema());
+  NaiveMatcher naive;
+  for (auto& s : corpus.subs) {
+    counting.add(*s);
+    naive.add(*s);
+  }
+  std::vector<bool> alive(corpus.subs.size(), true);
+  std::uniform_int_distribution<std::size_t> leaves(1, 9);
+  const auto churn = [&] {
+    const auto i = static_cast<std::size_t>(rng() % corpus.subs.size());
+    if (alive[i]) {
+      counting.remove(*corpus.subs[i]);
+      naive.remove(corpus.subs[i]->id());
+      alive[i] = false;
+    }
+    corpus.subs.push_back(std::make_unique<Subscription>(
+        SubscriptionId(static_cast<SubscriptionId::value_type>(corpus.subs.size())),
+        dom.random_tree(rng, leaves(rng), 0.15)));
+    alive.push_back(true);
+    counting.add(*corpus.subs.back());  // reuses the slot freed above, if any
+    naive.add(*corpus.subs.back());
+    const auto j = static_cast<std::size_t>(rng() % corpus.subs.size());
+    if (!alive[j]) return;
+    const auto candidates = enumerate_prunings(corpus.subs[j]->root());
+    if (candidates.empty()) return;
+    apply_pruning(*corpus.subs[j], candidates[rng() % candidates.size()]);
+    counting.reindex(*corpus.subs[j]);
+  };
+  for (std::uint64_t event = 1; event <= 600; ++event) {
+    const bool near_plan = ((event - 1) & event) == 0 || (event & (event + 1)) == 0;
+    if (near_plan || event % 7 == 0) churn();
+    const Event e = dom.random_event(rng);
+    ASSERT_EQ(sorted_match(counting, e), sorted_match(naive, e)) << "event " << event;
+    if (near_plan) expect_refs_match_trees(counting, live_subs(corpus, alive));
+  }
+  expect_refs_match_trees(counting, live_subs(corpus, alive));
+}
+
+TEST(MatcherSelectiveTrigger, AuctionBumpsAndPrecisionAfterPlanning) {
+  // A seeded 10k auction corpus. After 512 events the access plan counts at
+  // most 1/20 of the fulfilled leaves the all-leaves trigger would count
+  // (what the paper's trigger bumps), and at least 8% of the triggered
+  // trees match. Every event is checked against the naive matcher.
+  WorkloadConfig cfg;
+  cfg.seed = 1;
+  const AuctionDomain domain(cfg);
+  AuctionSubscriptionGenerator sub_gen(domain, 1);
+  AuctionEventGenerator event_gen(domain, 2);
+  CountingMatcher counting(domain.schema());
+  NaiveMatcher naive;
+  Corpus corpus;
+  for (std::uint32_t i = 0; i < 10000; ++i) {
+    corpus.subs.push_back(std::make_unique<Subscription>(SubscriptionId(i), sub_gen.next_tree()));
+    counting.add(*corpus.subs.back());
+    naive.add(*corpus.subs.back());
+  }
+  for (int i = 0; i < 512; ++i) {
+    const Event e = event_gen.next();
+    ASSERT_EQ(sorted_match(counting, e), sorted_match(naive, e)) << "event " << i;
+  }
+
+  std::map<PredicateId::value_type, const Predicate*> preds;
+  for (const auto& s : corpus.subs) {
+    s->root().for_each_leaf(
+        [&](const Node& leaf) { preds.emplace(leaf.predicate_id().value(), &leaf.predicate()); });
+  }
+  counting.reset_counters();
+  std::uint64_t all_leaves = 0;
+  constexpr int kEvents = 256;
+  for (int i = 0; i < kEvents; ++i) {
+    const Event e = event_gen.next();
+    for (const auto& [pid, pred] : preds) {
+      if (pred->matches(e)) all_leaves += counting.registry().references(PredicateId(pid));
+    }
+    ASSERT_EQ(sorted_match(counting, e), sorted_match(naive, e)) << "event " << 512 + i;
+  }
+  const auto& c = counting.counters();
+  ASSERT_GT(c.matches, 0u);
+  EXPECT_LE(c.counter_increments * 20, all_leaves)
+      << c.counter_increments << " bumps vs " << all_leaves << " fulfilled leaves";
+  EXPECT_GE(static_cast<double>(c.matches) / static_cast<double>(c.tree_evaluations), 0.08)
+      << c.matches << " matches of " << c.tree_evaluations << " evaluations";
 }
 
 }  // namespace
